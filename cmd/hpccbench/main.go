@@ -502,9 +502,6 @@ func paperFatTree(calendar bool, shards int, speculate bool) outcome {
 		Shards:      shards,
 		Speculate:   speculate,
 		BufferBytes: experiment.BufferFor(320),
-		// Paper-scale runs hold hundreds of thousands of flows over a
-		// campaign; bound per-host retention like a long campaign would.
-		CompletedWindow: 256,
 	}
 	return runScenario(s)
 }
@@ -606,9 +603,13 @@ func parkingLot(quick bool) outcome {
 	return outcome{dataPkts: flowPackets(nw), portPkts: portPackets(nw), flows: flows, shards: 1, simTime: eng.Now()}
 }
 
+// flowPackets sums the data packets every host sent: its ended-flow
+// totals plus its still-live flows.
 func flowPackets(nw *topology.Network) uint64 {
 	var n uint64
 	for _, h := range nw.Hosts {
+		_, pkts := h.EndedFlows()
+		n += pkts
 		for _, f := range h.Flows() {
 			n += f.PacketsSent()
 		}

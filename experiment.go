@@ -96,11 +96,6 @@ type Experiment struct {
 	// window adapts at runtime: it grows toward the cap while epochs
 	// commit and halves on rollback.
 	SpeculationWindow int
-	// CompletedFlowWindow, when positive, bounds per-host memory over
-	// long campaigns: each host retains at most this many completed
-	// flows, folding older ones into aggregate counters. Results are
-	// unchanged; only post-run per-flow inspection is truncated.
-	CompletedFlowWindow int
 	// SketchStats switches result statistics to streaming mode: instead
 	// of retaining every FCT record and queue sample, observations
 	// stream into mergeable DDSketch-style quantile sketches
@@ -157,21 +152,20 @@ func (e Experiment) scenario() (experiment.LoadScenario, []int64, error) {
 		e.Seed = 1
 	}
 	sc := experiment.LoadScenario{
-		Scheme:          scheme,
-		Topo:            spec,
-		Traffic:         gens,
-		MaxFlows:        e.MaxFlows,
-		Until:           toSim(e.Horizon),
-		Drain:           toSim(e.Drain),
-		PFC:             e.Lossless == nil || *e.Lossless,
-		Seed:            e.Seed,
-		Shards:          e.Shards,
-		Speculate:       e.Speculate == nil || *e.Speculate,
-		SpecWindow:      e.SpeculationWindow,
-		CompletedWindow: e.CompletedFlowWindow,
-		QueueSampleCap:  e.QueueSampleCap,
-		SketchStats:     e.SketchStats,
-		StatsAccuracy:   e.StatsAccuracy,
+		Scheme:         scheme,
+		Topo:           spec,
+		Traffic:        gens,
+		MaxFlows:       e.MaxFlows,
+		Until:          toSim(e.Horizon),
+		Drain:          toSim(e.Drain),
+		PFC:            e.Lossless == nil || *e.Lossless,
+		Seed:           e.Seed,
+		Shards:         e.Shards,
+		Speculate:      e.Speculate == nil || *e.Speculate,
+		SpecWindow:     e.SpeculationWindow,
+		QueueSampleCap: e.QueueSampleCap,
+		SketchStats:    e.SketchStats,
+		StatsAccuracy:  e.StatsAccuracy,
 	}
 	edges := e.edges()
 	if e.SketchStats {

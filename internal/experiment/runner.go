@@ -120,10 +120,6 @@ type LoadScenario struct {
 	// SpecWindow caps the speculative horizon in lookahead epochs beyond
 	// the conservative one (0 means the sim-layer default, 8).
 	SpecWindow int
-	// CompletedWindow, when positive, bounds per-host memory on long
-	// runs: each host retains at most this many completed flows, evicting
-	// the oldest into aggregate counters.
-	CompletedWindow int
 
 	// SketchStats switches result statistics to streaming mode: FCT
 	// records and queue samples are not retained; every observation
@@ -263,12 +259,11 @@ func (s *LoadScenario) build(eng *sim.Engine) *topology.Network {
 		scfg.KMax = s.Scheme.Kmax(rate)
 	}
 	hcfg := host.Config{
-		CC:              s.Scheme.Factory,
-		FlowCtl:         s.FlowCtl,
-		INT:             s.Scheme.INT,
-		BaseRTT:         s.Topo.BaseRTT(),
-		Seed:            s.Seed,
-		CompletedWindow: s.CompletedWindow,
+		CC:      s.Scheme.Factory,
+		FlowCtl: s.FlowCtl,
+		INT:     s.Scheme.INT,
+		BaseRTT: s.Topo.BaseRTT(),
+		Seed:    s.Seed,
 	}
 	return s.Topo.Build(eng, hcfg, scfg)
 }
@@ -402,21 +397,21 @@ func mustRunLoad(s LoadScenario) *LoadResult {
 }
 
 // collectFabric gathers the post-run counters shared by the single and
-// sharded paths: PFC pause, drops, per-flow and per-port packet counts
-// (including flows already evicted into host aggregate counters).
+// sharded paths: PFC pause, drops, flow and per-port packet counts.
+// Hosts hold only live flows, so a host's flow count and data packets
+// are its ended-flow totals plus its live flows, and every live flow is
+// censored.
 func collectFabric(res *LoadResult, nw *topology.Network, elapsed sim.Time) {
 	res.PauseFrac = stats.PFCPauseFraction(nw.Switches, fabric.PrioData, elapsed)
 	res.Drops = nw.TotalDrops()
 	for _, h := range nw.Hosts {
-		evicted, pkts := h.EvictedFlows()
-		res.Started += evicted
+		ended, pkts := h.EndedFlows()
+		live := h.Flows()
+		res.Started += ended + len(live)
+		res.Censored += len(live)
 		res.DataPackets += pkts
-		for _, f := range h.Flows() {
-			res.Started++
+		for _, f := range live {
 			res.DataPackets += f.PacketsSent()
-			if !f.Done() {
-				res.Censored++
-			}
 		}
 		for _, p := range h.Ports() {
 			res.PortPackets += p.PacketsSent()

@@ -379,14 +379,27 @@ func TestQueueSampleCapSharded(t *testing.T) {
 	compareRuns(t, "queue-cap-sharded", base, got)
 }
 
-// Bounded completed-flow retention must not change any aggregate.
-func TestCompletedWindowAccounting(t *testing.T) {
-	base := runLoadT(t, dumbbellScenario(1, false))
-	s := dumbbellScenario(1, false)
-	s.CompletedWindow = 4
-	got := runLoadT(t, s)
-	compareRuns(t, "completed-window", base, got)
-	s.Shards = 2
-	gotSharded := runLoadT(t, s)
-	compareRuns(t, "completed-window-sharded", base, gotSharded)
+// A run's flow counts come from each host's ended-flow totals plus its
+// live flows. With a drain too short for every flow to finish, Started
+// splits exactly into the recorded completions and the censored live
+// flows, and the sharded run agrees with the serial one on every
+// counter.
+func TestEndedFlowAccounting(t *testing.T) {
+	mk := func(shards int) LoadScenario {
+		s := dumbbellScenario(shards, false)
+		s.Drain = 200 * sim.Microsecond
+		return s
+	}
+	base := runLoadT(t, mk(1))
+	if base.Censored == 0 || len(base.FCT.Records) == 0 {
+		t.Fatalf("%d completed, %d censored: want some of each", len(base.FCT.Records), base.Censored)
+	}
+	if base.Started != len(base.FCT.Records)+base.Censored {
+		t.Fatalf("started %d != %d completed + %d censored", base.Started, len(base.FCT.Records), base.Censored)
+	}
+	got := runLoadT(t, mk(2))
+	if got.Shards != 2 {
+		t.Fatalf("sharded run engaged %d shards, want 2", got.Shards)
+	}
+	compareRuns(t, "ended-flow-accounting", base, got)
 }

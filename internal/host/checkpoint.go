@@ -6,14 +6,13 @@ import "hpcc/internal/sim"
 // speculation barrier the host snapshots its mutable transport state —
 // live sender flows (with their CC instances and IRN recovery maps),
 // receiver reassembly state, pending RDMA READs, the flow-scheduler
-// admission queue, in-flight CC trampolines and the completed-flow
-// retention bookkeeping — and restores it all in place on rollback.
+// admission queue, in-flight CC trampolines, the ended-flow totals and
+// the packet-ID sequence — and restores it all in place on rollback.
 //
-// The cost is proportional to *live* state, not campaign length: done
-// flows are immutable (every handler is gated on the flow being live),
-// so the checkpoint walks liveList instead of the whole retained-flow
-// map, and flow-map membership changes since the checkpoint are undone
-// through the jAdded/jRemoved journals rather than by copying the map.
+// The cost is proportional to *live* state, not campaign length: the
+// flow map holds only live flows (a flow leaves it at teardown), so the
+// checkpoint walks liveList, and Rollback rebuilds the map from the
+// checkpointed live list in the same O(live).
 //
 // Like the fabric layer, restores go through the original pointers
 // (*f = snapshot value), so every live reference — timer callbacks,
@@ -72,12 +71,12 @@ type hostSnap struct {
 	wraps    []wrapSnap
 	wrapFree []*schedWrap
 
-	doneRing    [doneRingSize]int32
-	doneHead    int
-	retired     []int32
-	retiredHead int
-	evicted     int
-	evictedPkts uint64
+	doneRing [doneRingSize]int32
+	doneHead int
+
+	endedFlows int
+	endedPkts  uint64
+	pktSeq     uint64
 }
 
 // dumpKVs appends m's entries to buf, returning their (offset, count).
@@ -102,17 +101,13 @@ func restoreKVs(m map[int64]int32, kvs []seqKV, off, n int) {
 }
 
 // Checkpoint captures the host's mutable state, overwriting the
-// previous checkpoint, and turns on membership journaling so Rollback
-// can undo flow-map insertions and evictions in O(changes).
+// previous checkpoint.
 func (h *Host) Checkpoint() {
 	s := h.snap
 	if s == nil {
 		s = &hostSnap{}
 		h.snap = s
 	}
-	h.journal = true
-	h.jAdded = h.jAdded[:0]
-	h.jRemoved = h.jRemoved[:0]
 
 	s.kvs = s.kvs[:0]
 	s.flows = s.flows[:0]
@@ -153,10 +148,9 @@ func (h *Host) Checkpoint() {
 
 	s.doneRing = h.doneRing
 	s.doneHead = h.doneHead
-	s.retired = append(s.retired[:0], h.retired...)
-	s.retiredHead = h.retiredHead
-	s.evicted = h.evicted
-	s.evictedPkts = h.evictedPkts
+	s.endedFlows = h.endedFlows
+	s.endedPkts = h.endedPkts
+	s.pktSeq = h.pktSeq
 }
 
 // Rollback restores the last Checkpoint in place.
@@ -165,18 +159,6 @@ func (h *Host) Rollback() {
 	if s == nil {
 		panic("host: Rollback without Checkpoint")
 	}
-	// Undo flow-map membership changes. Reinsert evictions before
-	// deleting insertions: a flow both started and evicted inside the
-	// rolled-back epoch must end up absent.
-	for _, g := range h.jRemoved {
-		h.flows[g.ID] = g
-	}
-	for _, f := range h.jAdded {
-		delete(h.flows, f.ID)
-	}
-	h.jAdded = h.jAdded[:0]
-	h.jRemoved = h.jRemoved[:0]
-
 	for i := range s.flows {
 		fs := &s.flows[i]
 		f := fs.ptr
@@ -187,9 +169,13 @@ func (h *Host) Rollback() {
 			c.Rollback()
 		}
 	}
+	// The flow map is the live set: flows started inside the
+	// rolled-back epoch drop out, and flows torn down inside it return.
 	h.liveList = append(h.liveList[:0], s.live...)
+	clear(h.flows)
 	for i, f := range h.liveList {
 		f.liveIdx = i
+		h.flows[f.ID] = f
 	}
 
 	clear(h.recv)
@@ -220,8 +206,7 @@ func (h *Host) Rollback() {
 
 	h.doneRing = s.doneRing
 	h.doneHead = s.doneHead
-	h.retired = append(h.retired[:0], s.retired...)
-	h.retiredHead = s.retiredHead
-	h.evicted = s.evicted
-	h.evictedPkts = s.evictedPkts
+	h.endedFlows = s.endedFlows
+	h.endedPkts = s.endedPkts
+	h.pktSeq = s.pktSeq
 }

@@ -2,18 +2,12 @@ package host
 
 import (
 	"math"
-	"sync/atomic"
 
 	"hpcc/internal/cc"
 	"hpcc/internal/fabric"
 	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 )
-
-// pktID is the process-wide packet-ID source, used only for tracing
-// (forwarding never branches on it). It is atomic so independent
-// engines may run on concurrent goroutines (campaign workers).
-var pktID atomic.Uint64
 
 // Flow is one sender-side queue pair: it segments size bytes into
 // MTU-sized packets, enforces the CC window and pacing rate, and runs
@@ -50,7 +44,7 @@ type Flow struct {
 
 	started  sim.Time
 	finished sim.Time
-	liveIdx  int // position in the host's liveList; -1 once torn down
+	liveIdx  int // position in the host's liveList; -1 once released
 	done     bool
 	alive    bool
 	pending  bool // waiting for a flow-scheduler engine slot (§4.3)
@@ -167,7 +161,7 @@ func (f *Flow) emit(now sim.Time, seq int64, payload int32, isRtx bool) {
 		size += packet.INTOverhead
 	}
 	p := f.host.pool.Get()
-	p.ID = pktID.Add(1)
+	p.ID = f.host.nextPktID()
 	p.Type = packet.Data
 	p.FlowID = f.ID
 	p.Src = int32(f.host.id)
@@ -366,7 +360,6 @@ func (f *Flow) complete(now sim.Time) {
 	if f.onDone != nil {
 		f.onDone(f)
 	}
-	f.host.noteFlowDone(f)
 }
 
 func (f *Flow) teardown(now sim.Time) {
@@ -374,7 +367,7 @@ func (f *Flow) teardown(now sim.Time) {
 	f.alive = false
 	f.finished = now
 	if f.liveIdx >= 0 {
-		f.host.unlinkFlow(f)
+		f.host.release(f)
 	}
 	f.host.eng.Cancel(f.sendEv)
 	f.sendEv = sim.Timer{}

@@ -58,13 +58,6 @@ type Config struct {
 	// rate (the FPGA prototype has six). Flows beyond the capacity
 	// wait FIFO until a slot frees. Zero means unlimited (ASIC-class).
 	SchedulerEngines int
-	// CompletedWindow, when positive, bounds the host's memory over
-	// long campaigns: at most this many completed sender flows are
-	// retained (a ring of recent completions for post-run inspection);
-	// older ones are folded into aggregate counters (EvictedFlows) and
-	// dropped from the flow map, so the map stops growing with
-	// campaign length. Zero retains every flow.
-	CompletedWindow int
 	// Seed feeds per-flow deterministic randomness.
 	Seed int64
 	// Pool recycles packet structs across the host's send and receive
@@ -92,15 +85,26 @@ func (c *Config) normalize() {
 	}
 }
 
-// Host is a server endpoint with one or more NIC ports.
+// Host is a server endpoint with one or more NIC ports. It holds only
+// its live sender flows: a flow leaves the flow map at teardown, so
+// per-host memory is O(concurrent flows) however long the run.
 type Host struct {
 	id    fabric.NodeID   //hpcclint:nosnap immutable identity
 	eng   *sim.Engine     //hpcclint:nosnap immutable wiring
+	now   func() sim.Time //hpcclint:nosnap eng.Now bound once for every flow's cc.Env; rebound only with eng
 	cfg   Config          //hpcclint:nosnap immutable config
 	pool  *packet.Pool    //hpcclint:nosnap shared pool checkpointed as its own component
 	ports []*fabric.Port  //hpcclint:nosnap immutable wiring; each port checkpoints itself
-	flows map[int32]*Flow //hpcclint:nosnap membership journaled via jAdded/jRemoved; live values snapshotted via liveList
+	flows map[int32]*Flow //hpcclint:nosnap the live set keyed by ID; Rollback rebuilds it from the checkpointed liveList
 	recv  map[int32]*recvState
+
+	// Accounting for the sender flows already torn down (completed or
+	// aborted) and released from the flow map.
+	endedFlows int
+	endedPkts  uint64
+
+	// pktSeq numbers the packets this host emits (see nextPktID).
+	pktSeq uint64
 
 	// RDMA READ requester state: flow ID -> (expected bytes, callback).
 	reads map[int32]*pendingRead
@@ -122,26 +126,13 @@ type Host struct {
 	doneRing [doneRingSize]int32
 	doneHead int
 
-	// Completed-flow retention ring (Config.CompletedWindow): the IDs
-	// of the most recent completions, plus aggregate counters for the
-	// flows already evicted from the map.
-	retired     []int32
-	retiredHead int
-	evicted     int
-	evictedPkts uint64
-
 	// Speculative-execution support (see checkpoint.go). liveList
-	// tracks the not-yet-done sender flows so a checkpoint walks live
-	// state instead of the whole retained-flow map; liveWraps tracks
-	// in-flight CC trampolines so their (flow, callback) pairs can be
-	// restored; the journals record flow-map membership changes since
-	// the last checkpoint so a rollback undoes insertions and evictions
-	// in O(changes).
+	// holds the flow map's members in a deterministic order, so a
+	// checkpoint walks them without ranging over the map; liveWraps
+	// tracks in-flight CC trampolines so their (flow, callback) pairs
+	// can be restored.
 	liveList  []*Flow
 	liveWraps []*schedWrap
-	journal   bool //hpcclint:nosnap checkpoint-mode flag flipped by Checkpoint itself, not simulated state
-	jAdded    []*Flow
-	jRemoved  []*Flow
 	snap      *hostSnap
 }
 
@@ -216,8 +207,13 @@ func (h *Host) unlinkWrap(w *schedWrap) {
 	w.idx = -1
 }
 
-// unlinkFlow removes a finished flow from the live list (swap delete).
-func (h *Host) unlinkFlow(f *Flow) {
+// release drops a torn-down flow from the live set: its packet count
+// moves into the host totals, and it leaves the flow map and liveList
+// (swap delete; liveList order only has to be deterministic).
+func (h *Host) release(f *Flow) {
+	h.endedFlows++
+	h.endedPkts += f.pktsSent
+	delete(h.flows, f.ID)
 	last := len(h.liveList) - 1
 	lf := h.liveList[last]
 	h.liveList[f.liveIdx] = lf
@@ -243,6 +239,7 @@ func New(eng *sim.Engine, id fabric.NodeID, cfg Config) *Host {
 	return &Host{
 		id:    id,
 		eng:   eng,
+		now:   eng.Now,
 		cfg:   cfg,
 		pool:  pool,
 		flows: make(map[int32]*Flow),
@@ -259,10 +256,11 @@ func (h *Host) ID() fabric.NodeID { return h.id }
 // network across shard engines; must happen before any flow starts
 // (flows capture h.eng through their timers and CC environment).
 func (h *Host) Rebind(eng *sim.Engine, pool *packet.Pool) {
-	if len(h.flows) > 0 {
+	if len(h.flows) > 0 || h.endedFlows > 0 {
 		panic("host: Rebind with flows started")
 	}
 	h.eng = eng
+	h.now = eng.Now
 	if pool != nil {
 		h.pool = pool
 	}
@@ -357,13 +355,10 @@ func (h *Host) StartFlow(id int32, dst fabric.NodeID, size int64, portIdx int, o
 	}
 	f.liveIdx = len(h.liveList)
 	h.liveList = append(h.liveList, f)
-	if h.journal {
-		h.jAdded = append(h.jAdded, f)
-	}
 	f.initTimers()
 	f.alg = h.cfg.CC()
 	f.alg.Init(cc.Env{
-		Now:      h.eng.Now,
+		Now:      h.now,
 		Schedule: func(d sim.Time, fn func()) { h.scheduleCC(f, d, fn) },
 		LineRate: port.Rate(),
 		BaseRTT:  h.cfg.BaseRTT,
@@ -410,6 +405,7 @@ func (h *Host) flowFinished() {
 	h.activeFlows--
 	for len(h.waiting) > 0 && h.activeFlows < h.schedCapacity() {
 		next := h.waiting[0]
+		h.waiting[0] = nil // the consumed prefix must not pin finished flows
 		h.waiting = h.waiting[1:]
 		if next.done {
 			continue // aborted while waiting
@@ -426,7 +422,7 @@ func (h *Host) flowFinished() {
 func (h *Host) Read(id int32, responder fabric.NodeID, size int64, portIdx int, onDone func()) {
 	h.reads[id] = &pendingRead{size: size, onDone: onDone}
 	req := h.pool.Get()
-	req.ID = pktID.Add(1)
+	req.ID = h.nextPktID()
 	req.Type = packet.ReadReq
 	req.FlowID = id
 	req.Src = int32(h.id)
@@ -437,42 +433,22 @@ func (h *Host) Read(id int32, responder fabric.NodeID, size int64, portIdx int, 
 	h.ports[portIdx].Enqueue(req, -1)
 }
 
-// Flows returns the host's sender flows (live and retained completed
-// ones; with Config.CompletedWindow set, older completions are evicted
-// into the EvictedFlows aggregate).
+// Flows returns the host's live sender flows: started and not yet
+// completed or aborted. A flow leaves the map at teardown; EndedFlows
+// accounts for it from then on.
 func (h *Host) Flows() map[int32]*Flow { return h.flows }
 
-// EvictedFlows returns how many completed flows were evicted from the
-// flow map under Config.CompletedWindow, and their total data packets
-// sent (retransmissions included) — so whole-run accounting stays exact
-// under bounded memory.
-func (h *Host) EvictedFlows() (flows int, pkts uint64) { return h.evicted, h.evictedPkts }
+// EndedFlows returns how many sender flows this host has torn down
+// (completed or aborted) and their total data packets sent,
+// retransmissions included. With the live flows in Flows, it gives
+// exact whole-run accounting.
+func (h *Host) EndedFlows() (flows int, pkts uint64) { return h.endedFlows, h.endedPkts }
 
-// noteFlowDone records a completion in the retention ring and evicts
-// the oldest retained completion once the window is full. Called after
-// the flow's onDone observers ran; an evicted flow's stats are folded
-// into the aggregate counters first, so nothing is lost.
-func (h *Host) noteFlowDone(f *Flow) {
-	w := h.cfg.CompletedWindow
-	if w <= 0 {
-		return
-	}
-	if len(h.retired) < w {
-		h.retired = append(h.retired, f.ID) //hpcclint:allow hotpathalloc -- retention ring fills once up to CompletedWindow, then recycles slots in place
-		return
-	}
-	old := h.retired[h.retiredHead]
-	h.retired[h.retiredHead] = f.ID
-	h.retiredHead++
-	if h.retiredHead == len(h.retired) {
-		h.retiredHead = 0
-	}
-	if g := h.flows[old]; g != nil && g.done {
-		h.evicted++
-		h.evictedPkts += g.pktsSent
-		if h.journal {
-			h.jRemoved = append(h.jRemoved, g) //hpcclint:allow hotpathalloc -- membership journal grows per eviction inside a speculation epoch, amortized and truncated at each checkpoint
-		}
-		delete(h.flows, old)
-	}
+// nextPktID returns a fresh packet ID for tracing: the host ID in the
+// high 24 bits and the host's own packet sequence below, so IDs are
+// unique network-wide and identical across shard counts and campaign
+// workers.
+func (h *Host) nextPktID() uint64 {
+	h.pktSeq++
+	return uint64(uint32(h.id))<<40 | h.pktSeq
 }

@@ -13,17 +13,24 @@ func TestRDMARead(t *testing.T) {
 	done := false
 	// Host 0 reads 500 KB from host 1: the data flows 1 -> 0.
 	nw.hosts[0].Read(1, nw.hosts[1].ID(), 500_000, 0, func() { done = true })
+	// The responder owns the data flow; it is in the responder's live
+	// map only while it streams (40 us at line rate), so grab it there.
+	var f *Flow
+	nw.eng.At(10*sim.Microsecond, func() { f = nw.hosts[1].Flows()[1] })
 	nw.eng.Run()
 	if !done {
 		t.Fatal("READ completion never fired at the requester")
 	}
-	// The responder owns the data flow.
-	f := nw.hosts[1].Flows()[1]
 	if f == nil || !f.Done() {
 		t.Fatal("responder flow missing or unfinished")
 	}
 	if got := f.Acked(); got != 500_000 {
 		t.Fatalf("responder streamed %d acked bytes, want 500000", got)
+	}
+	// Completed, it is released into the responder's totals.
+	if n, pkts := nw.hosts[1].EndedFlows(); n != 1 || pkts != f.PacketsSent() || len(nw.hosts[1].Flows()) != 0 {
+		t.Fatalf("responder totals %d flows / %d pkts with %d live, want 1 / %d with 0",
+			n, pkts, len(nw.hosts[1].Flows()), f.PacketsSent())
 	}
 	// The requester's reassembly state is freed once the stream lands.
 	if nw.hosts[0].recv[1] != nil {
@@ -99,13 +106,17 @@ func TestSchedulerAbortWhileWaiting(t *testing.T) {
 
 func TestUnlimitedSchedulerByDefault(t *testing.T) {
 	nw := buildStar(2, hpccConfig(), fabric.SwitchConfig{INTEnabled: true}, line100, sim.Microsecond)
+	var flows []*Flow
 	for i := 0; i < 400; i++ {
-		nw.start(0, 1, 2_000, nil)
+		flows = append(flows, nw.start(0, 1, 2_000, nil))
+	}
+	if p := flows[len(flows)-1]; p.pending {
+		t.Fatal("flow queued for a scheduler slot with unlimited scheduler")
 	}
 	nw.eng.Run()
-	for id, f := range nw.hosts[0].Flows() {
+	for _, f := range flows {
 		if !f.Done() {
-			t.Fatalf("flow %d unfinished with unlimited scheduler", id)
+			t.Fatalf("flow %d unfinished with unlimited scheduler", f.ID)
 		}
 	}
 }

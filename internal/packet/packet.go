@@ -115,7 +115,7 @@ func (h *INTHeader) Records() []Hop {
 // (ACK processing, switch drops, PFC consumption); the simulator never
 // aliases a packet after handing it to the next node.
 type Packet struct {
-	ID   uint64 // globally unique, for tracing
+	ID   uint64 // unique within a network (sending host ID + per-host sequence), for tracing
 	Type Type
 
 	FlowID   int32 // sender-assigned flow identifier

@@ -6,7 +6,7 @@ import (
 	"hpcc/internal/sim"
 )
 
-// The retention cap must plateau like CompletedFlowWindow: however long
+// The retention cap must plateau: however long
 // the horizon, the monitor holds at most SampleCap rows, thinned to an
 // even power-of-two stride over the whole run — not truncated at the
 // front or back.

@@ -2,9 +2,12 @@ package topology
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"hpcc/internal/fabric"
+	"hpcc/internal/host"
 	"hpcc/internal/packet"
 	"hpcc/internal/sim"
 )
@@ -30,16 +33,18 @@ func worldCheckpointables(eng *sim.Engine, pool *packet.Pool, nw *Network) []sim
 }
 
 // probeWorld renders everything observable about a run — per-flow
-// progress and counters, per-port serialization and pause totals,
-// fabric drops, the clock — so two executions can be compared as one
-// string.
-func probeWorld(t *testing.T, eng *sim.Engine, nw *Network) string {
+// progress and counters, each host's live flow set and ended-flow
+// totals, per-port serialization and pause totals, fabric drops, the
+// clock — so two executions can be compared as one string.
+func probeWorld(eng *sim.Engine, nw *Network, flows []*host.Flow) string {
 	out := fmt.Sprintf("now=%v drops=%d\n", eng.Now(), nw.TotalDrops())
-	for _, f := range fates(t, nw) {
+	for _, f := range fates(flows) {
 		out += fmt.Sprintf("flow %d: acked=%d done=%v pkts=%d rtx=%d fin=%v\n",
 			f.id, f.acked, f.done, f.pkts, f.rtx, f.finished)
 	}
 	for _, h := range nw.Hosts {
+		ended, pkts := h.EndedFlows()
+		out += fmt.Sprintf("host %d: live=%v ended=%d pkts=%d\n", h.ID(), slices.Sorted(maps.Keys(h.Flows())), ended, pkts)
 		for _, pt := range h.Ports() {
 			out += fmt.Sprintf("hport %d: sent=%d paused=%v\n",
 				pt.WireKey(), pt.PacketsSent(), pt.PausedFor(fabric.PrioData))
@@ -67,7 +72,7 @@ func TestComponentCheckpointRoundTrip(t *testing.T) {
 	scfg.Pool = pool
 	eng := sim.NewEngine()
 	nw := Dumbbell(eng, 6, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
-	dumbbellWorkload(nw)
+	flows := dumbbellWorkload(nw)
 
 	const (
 		mark    = 100 * sim.Microsecond
@@ -78,10 +83,10 @@ func TestComponentCheckpointRoundTrip(t *testing.T) {
 	for _, c := range cs {
 		c.Checkpoint()
 	}
-	at := probeWorld(t, eng, nw)
+	at := probeWorld(eng, nw, flows)
 
 	eng.RunUntil(horizon)
-	ref := probeWorld(t, eng, nw)
+	ref := probeWorld(eng, nw, flows)
 	if ref == at {
 		t.Fatal("nothing happened inside the window — test is vacuous")
 	}
@@ -90,11 +95,11 @@ func TestComponentCheckpointRoundTrip(t *testing.T) {
 		for _, c := range cs {
 			c.Rollback()
 		}
-		if got := probeWorld(t, eng, nw); got != at {
+		if got := probeWorld(eng, nw, flows); got != at {
 			t.Fatalf("round %d: rollback did not restore the checkpoint state:\n got %s\nwant %s", round, got, at)
 		}
 		eng.RunUntil(horizon)
-		if got := probeWorld(t, eng, nw); got != ref {
+		if got := probeWorld(eng, nw, flows); got != ref {
 			t.Fatalf("round %d: replay diverged:\n got %s\nwant %s", round, got, ref)
 		}
 	}

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"hpcc/internal/cc/hpcc"
@@ -15,8 +17,8 @@ func shardCfg() (host.Config, fabric.SwitchConfig) {
 	return hcfg, scfg
 }
 
-// flowFates captures everything observable about a run's flows plus
-// fabric counters, for byte-for-byte comparison across shard counts.
+// flowFate captures everything observable about one flow, for
+// byte-for-byte comparison across shard counts.
 type flowFate struct {
 	id       int32
 	acked    int64
@@ -27,40 +29,38 @@ type flowFate struct {
 	finished sim.Time
 }
 
-func fates(t *testing.T, nw *Network) []flowFate {
-	t.Helper()
-	var out []flowFate
-	for _, h := range nw.Hosts {
-		for id, f := range h.Flows() {
-			out = append(out, flowFate{
-				id: id, acked: f.Acked(), fct: f.FCT(), done: f.Done(),
-				pkts: f.PacketsSent(), rtx: f.Retransmits(), finished: f.Finished(),
-			})
-		}
+// fates reads the per-flow facts off the handles StartFlow returned
+// (hosts release a flow at teardown, so the handles, not the hosts'
+// flow maps, see every flow), sorted by ID.
+func fates(flows []*host.Flow) []flowFate {
+	out := make([]flowFate, 0, len(flows))
+	for _, f := range flows {
+		out = append(out, flowFate{
+			id: f.ID, acked: f.Acked(), fct: f.FCT(), done: f.Done(),
+			pkts: f.PacketsSent(), rtx: f.Retransmits(), finished: f.Finished(),
+		})
 	}
-	// Map order is random; sort by ID for comparison.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].id < out[j-1].id; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b flowFate) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
 // dumbbellWorkload starts a congested bidirectional mix: every left
 // host ships to a right host and vice versa, plus a 3-to-1 incast onto
-// one receiver, so the bottleneck link, PFC and INT all engage.
-func dumbbellWorkload(nw *Network) {
+// one receiver, so the bottleneck link, PFC and INT all engage. It
+// returns the started flows.
+func dumbbellWorkload(nw *Network) []*host.Flow {
+	var flows []*host.Flow
 	pairs := len(nw.Hosts) / 2
 	for i := 0; i < pairs; i++ {
-		nw.StartFlow(i, pairs+i, 200_000, nil)
+		flows = append(flows, nw.StartFlow(i, pairs+i, 200_000, nil))
 	}
 	for i := 1; i < pairs; i++ {
-		nw.StartFlow(pairs+i, i, 120_000, nil)
+		flows = append(flows, nw.StartFlow(pairs+i, i, 120_000, nil))
 	}
 	for i := 1; i < 4; i++ {
-		nw.StartFlow(i, pairs, 150_000, nil) // incast onto host `pairs`
+		flows = append(flows, nw.StartFlow(i, pairs, 150_000, nil)) // incast onto host `pairs`
 	}
+	return flows
 }
 
 // A 2-shard (and 3-shard) dumbbell run must be byte-identical to the
@@ -72,6 +72,7 @@ func TestShardDumbbellEquivalence(t *testing.T) {
 		hcfg, scfg := shardCfg()
 		eng := sim.NewEngine()
 		nw := Dumbbell(eng, 6, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
+		var flows []*host.Flow
 		if shards > 1 {
 			sh, err := Shard(nw, shards, sim.NewEngine)
 			if err != nil {
@@ -80,10 +81,10 @@ func TestShardDumbbellEquivalence(t *testing.T) {
 			if sh.Lookahead != sim.Microsecond {
 				t.Fatalf("lookahead = %v, want 1us", sh.Lookahead)
 			}
-			dumbbellWorkload(nw)
+			flows = dumbbellWorkload(nw)
 			sh.Group.RunUntil(horizon)
 		} else {
-			dumbbellWorkload(nw)
+			flows = dumbbellWorkload(nw)
 			eng.RunUntil(horizon)
 		}
 		var paused sim.Time
@@ -92,7 +93,7 @@ func TestShardDumbbellEquivalence(t *testing.T) {
 				paused += p.PausedFor(fabric.PrioData)
 			}
 		}
-		return fates(t, nw), nw.TotalDrops(), paused
+		return fates(flows), nw.TotalDrops(), paused
 	}
 
 	base, drops, paused := run(1)
@@ -199,19 +200,22 @@ func TestShardBarePlacementCutsBoundary(t *testing.T) {
 // byte-for-byte, incast and all.
 func TestShardStarPerHost(t *testing.T) {
 	const horizon = 40 * sim.Millisecond
-	starWorkload := func(nw *Network) {
+	starWorkload := func(nw *Network) []*host.Flow {
+		var flows []*host.Flow
 		n := len(nw.Hosts)
 		for i := 1; i < n; i++ {
-			nw.StartFlow(i, 0, 150_000, nil) // incast onto host 0
+			flows = append(flows, nw.StartFlow(i, 0, 150_000, nil)) // incast onto host 0
 		}
 		for i := 1; i < n; i++ {
-			nw.StartFlow(0, i, 80_000, nil)
+			flows = append(flows, nw.StartFlow(0, i, 80_000, nil))
 		}
+		return flows
 	}
 	run := func(shards int) []flowFate {
 		hcfg, scfg := shardCfg()
 		eng := sim.NewEngine()
 		nw := Star(eng, 5, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
+		var flows []*host.Flow
 		if shards > 1 {
 			sh, err := Shard(nw, shards, sim.NewEngine)
 			if err != nil {
@@ -223,15 +227,15 @@ func TestShardStarPerHost(t *testing.T) {
 			if sh.Lookahead != sim.Microsecond {
 				t.Fatalf("lookahead = %v, want 1us", sh.Lookahead)
 			}
-			starWorkload(nw)
+			flows = starWorkload(nw)
 			if err := sh.Group.RunUntil(horizon); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			starWorkload(nw)
+			flows = starWorkload(nw)
 			eng.RunUntil(horizon)
 		}
-		return fates(t, nw)
+		return fates(flows)
 	}
 
 	base := run(1)
@@ -279,9 +283,9 @@ func TestShardSpeculationEquivalence(t *testing.T) {
 		eng := sim.NewEngine()
 		nw := Dumbbell(eng, 6, 100*sim.Gbps, 100*sim.Gbps, sim.Microsecond, hcfg, scfg)
 		if shards == 1 {
-			dumbbellWorkload(nw)
+			flows := dumbbellWorkload(nw)
 			eng.RunUntil(horizon)
-			return fates(t, nw), sim.SyncStats{}
+			return fates(flows), sim.SyncStats{}
 		}
 		sh, err := Shard(nw, shards, sim.NewEngine)
 		if err != nil {
@@ -292,11 +296,11 @@ func TestShardSpeculationEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		dumbbellWorkload(nw)
+		flows := dumbbellWorkload(nw)
 		if err := sh.Group.RunUntil(horizon); err != nil {
 			t.Fatal(err)
 		}
-		return fates(t, nw), sh.Group.Stats
+		return fates(flows), sh.Group.Stats
 	}
 
 	base, _ := run(1, 0)

@@ -41,6 +41,10 @@ func TestPlanMatchesLazyInstall(t *testing.T) {
 	// Lazy install on a real network, exactly as the runner does it:
 	// generator i gets Seed+i and the canonical arrival key that the
 	// plan's (time, generator, order) emission mirrors.
+	// Hosts release a flow at teardown, so completed flows are collected
+	// through OnDone and any unfinished ones from the live flow maps.
+	byID := map[int32]*host.Flow{}
+	env.OnDone = func(f *host.Flow) { byID[f.ID] = f }
 	nw := testNet(n)
 	for i, g := range gens {
 		e := env
@@ -49,8 +53,6 @@ func TestPlanMatchesLazyInstall(t *testing.T) {
 		g.Install(nw, e)
 	}
 	nw.Eng.Run()
-
-	byID := map[int32]*host.Flow{}
 	for _, h := range nw.Hosts {
 		for id, f := range h.Flows() {
 			byID[id] = f

@@ -128,29 +128,27 @@ func TestExperimentShardsUsedReportsFallback(t *testing.T) {
 	}
 }
 
-// A FatTree run with the bounded completed-flow window and shards must
-// also match the unbounded single-engine result.
+// A sharded FatTree run must match the single-engine result.
 func TestExperimentShardsFatTree(t *testing.T) {
-	mk := func(shards, window int) hpcc.Experiment {
+	mk := func(shards int) hpcc.Experiment {
 		return hpcc.Experiment{
-			Scheme:              "hpcc",
-			Topology:            hpcc.FatTree{},
-			Traffic:             []hpcc.Traffic{hpcc.Poisson{CDF: hpcc.WebSearchCDF(), Load: 0.5}},
-			Horizon:             time.Millisecond,
-			Drain:               8 * time.Millisecond,
-			MaxFlows:            80,
-			Shards:              shards,
-			CompletedFlowWindow: window,
-			Seed:                1,
+			Scheme:   "hpcc",
+			Topology: hpcc.FatTree{},
+			Traffic:  []hpcc.Traffic{hpcc.Poisson{CDF: hpcc.WebSearchCDF(), Load: 0.5}},
+			Horizon:  time.Millisecond,
+			Drain:    8 * time.Millisecond,
+			MaxFlows: 80,
+			Shards:   shards,
+			Seed:     1,
 		}
 	}
-	base, err := mk(1, 0).Run()
+	base, err := mk(1).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	clearSyncFields(base)
 	want, _ := json.Marshal(base)
-	got4, err := mk(4, 8).Run()
+	got4, err := mk(4).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +158,6 @@ func TestExperimentShardsFatTree(t *testing.T) {
 	clearSyncFields(got4)
 	got, _ := json.Marshal(got4)
 	if string(got) != string(want) {
-		t.Fatalf("sharded+windowed FatTree diverged:\n got %s\nwant %s", got, want)
+		t.Fatalf("sharded FatTree diverged:\n got %s\nwant %s", got, want)
 	}
 }
